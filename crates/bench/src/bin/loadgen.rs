@@ -34,11 +34,15 @@
 //! in a pipelined burst is attributed the burst's round-trip time
 //! under its own verb's histogram.
 //!
+//! A `--churn-hz` of zero or below sends no churn: the run then
+//! serves a single epoch and does not require one to advance.
+//!
 //! Exits nonzero on any protocol error, unclean shutdown, or a missed
 //! `--assert-qps` floor.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
@@ -172,7 +176,8 @@ impl LocalCounts {
 }
 
 /// The churn client: rotates scenarios, keeps at most `budget` nodes
-/// down, paces events at `hz`.
+/// down, paces events at `hz` (none at all when `hz` is not positive),
+/// and stops as soon as the sender of `stop` is dropped.
 // A one-call-site driver fn; a config struct would only rename the args.
 #[allow(clippy::too_many_arguments)]
 fn run_churn(
@@ -181,12 +186,16 @@ fn run_churn(
     pool: Vec<Node>,
     budget: usize,
     hz: f64,
-    stop: &AtomicBool,
+    stop: Receiver<()>,
     events_out: &AtomicU64,
     errors: &AtomicU64,
 ) {
+    if hz.is_nan() || hz <= 0.0 {
+        return;
+    }
+    // A rate too small for a `Duration` waits for the stop alone.
+    let tick = Duration::try_from_secs_f64(1.0 / hz).unwrap_or(Duration::MAX);
     let mut client = Client::connect(addr).expect("churn client connects");
-    let tick = Duration::from_secs_f64(1.0 / hz.max(1e-6));
     // Organic churn tuned so a step usually touches at least one node.
     let mut organic = ChurnStream::new(
         n,
@@ -201,7 +210,7 @@ fn run_churn(
     let mut ticks: u64 = 0;
     let mut scenario = 0usize;
     let mut rng = SmallRng::seed_from_u64(0x10AD);
-    while !stop.load(Ordering::Relaxed) {
+    loop {
         // Rotate the scenario every 64 ticks (ticks advance by exactly
         // one per loop, so no rotation boundary can be stepped over).
         if ticks.is_multiple_of(64) {
@@ -262,7 +271,9 @@ fn run_churn(
             }
         };
         events_out.fetch_add(sent, Ordering::Relaxed);
-        std::thread::sleep(tick);
+        if !matches!(stop.recv_timeout(tick), Err(RecvTimeoutError::Timeout)) {
+            break;
+        }
     }
     // Leave the server fault-free so shutdown state is deterministic.
     for v in down.drain(..) {
@@ -458,7 +469,7 @@ fn measure(
 
     let totals = Totals::default();
     let latency: Mutex<[Histogram; VERB_NAMES.len()]> = Mutex::new(Default::default());
-    let stop_churn = AtomicBool::new(false);
+    let (stop_churn, churn_stopped) = mpsc::channel::<()>();
     let churn_events = AtomicU64::new(0);
     let barrier = Barrier::new(args.clients + 1);
     let started = Instant::now();
@@ -472,7 +483,7 @@ fn measure(
                 core.to_vec(),
                 args.fault_budget,
                 args.churn_hz,
-                &stop_churn,
+                churn_stopped,
                 &churn_events,
                 &totals.errors,
             )
@@ -500,7 +511,7 @@ fn measure(
         if let Some(left) = deadline.checked_duration_since(Instant::now()) {
             std::thread::sleep(left);
         }
-        stop_churn.store(true, Ordering::Relaxed);
+        drop(stop_churn);
     });
     let elapsed = started.elapsed().as_secs_f64();
 
@@ -723,10 +734,10 @@ fn run() -> Result<(), String> {
     if all_errors > 0 {
         return Err(format!("{all_errors} protocol errors observed"));
     }
-    if epochs == 0
+    let stalled = epochs == 0
         || baseline.as_ref().is_some_and(|b| b.epochs == 0)
-        || spans_baseline.as_ref().is_some_and(|b| b.epochs == 0)
-    {
+        || spans_baseline.as_ref().is_some_and(|b| b.epochs == 0);
+    if args.churn_hz > 0.0 && stalled {
         return Err("no epoch ever advanced — churn never reached the server".into());
     }
     if let Some(floor) = args.assert_qps {

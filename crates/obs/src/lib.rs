@@ -18,6 +18,11 @@
 //!   Prometheus-style text exposition ([`Registry::render_prometheus`])
 //!   and flat JSON snapshots ([`Registry::render_json`]). Registration
 //!   takes a lock; reads and writes of the registered cells do not.
+//! - [`Ring`] — the one bounded journal (cap, evict-oldest,
+//!   total/dropped counts, `last(n)`) that the trace ring, the lineage
+//!   journal and the span store's recent and slow logs are built on,
+//!   plus [`relock`], the poison-recovering lock helper the workspace
+//!   shares.
 //! - [`TraceRing`] — a bounded ring-buffer journal of structured
 //!   [`TraceEvent`]s tagged with epoch ids and monotonic timestamps
 //!   (see [`monotonic_nanos`]), drained by the `TRACE n` protocol verb.
@@ -46,6 +51,7 @@ mod hist;
 mod lineage;
 mod metrics;
 mod registry;
+mod ring;
 mod slo;
 mod span;
 mod trace;
@@ -54,6 +60,7 @@ pub use hist::Histogram;
 pub use lineage::{LineageJournal, LineageRecord};
 pub use metrics::{AtomicHistogram, Counter, Gauge};
 pub use registry::{Registry, Unit};
+pub use ring::{relock, Ring};
 pub use slo::{AlertTransition, BurnRate, SloAlert};
 pub use span::{BatchSpans, Span, SpanId, SpanRecorder, SpanStore, SLOW_MIN_SAMPLES};
 pub use trace::{monotonic_nanos, TraceEvent, TraceRing};

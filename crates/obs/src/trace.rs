@@ -1,10 +1,11 @@
 //! A bounded ring-buffer journal of structured events.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, OnceLock};
+use std::ops::Deref;
+use std::sync::OnceLock;
 use std::time::Instant;
+
+use crate::ring::Ring;
 
 /// Nanoseconds on a process-wide monotonic clock. The origin is the
 /// first call in the process (so the first reading is 0); call once at
@@ -43,75 +44,35 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// A bounded ring buffer of [`TraceEvent`]s. Pushes beyond the capacity
-/// evict the oldest entry and bump the drop counter, so the journal is
-/// always the *last* `cap` events. Pushing takes a short mutex — trace
-/// events fire at epoch/batch/search rate, never per query, so this is
-/// off the serving hot path by construction.
-pub struct TraceRing {
-    cap: usize,
-    inner: Mutex<VecDeque<TraceEvent>>,
-    total: AtomicU64,
-    dropped: AtomicU64,
-}
+/// A bounded [`Ring`] of [`TraceEvent`]s: the last `cap` events, with
+/// total and dropped counts. Trace events fire at epoch, batch and
+/// search rate, never per query, so the ring's mutex stays off the
+/// serving hot path.
+pub struct TraceRing(Ring<TraceEvent>);
 
 impl TraceRing {
     /// A ring holding at most `cap` events (`cap == 0` keeps nothing).
     pub fn new(cap: usize) -> Self {
-        TraceRing {
-            cap,
-            inner: Mutex::new(VecDeque::with_capacity(cap.min(4096))),
-            total: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
+        TraceRing(Ring::new(cap))
     }
 
     /// Appends an event stamped with [`monotonic_nanos`] now.
     pub fn push(&self, epoch: u64, kind: &'static str, detail: String) {
-        self.total.fetch_add(1, Relaxed);
-        let event = TraceEvent {
+        self.0.push(TraceEvent {
             nanos: monotonic_nanos(),
             epoch,
             kind,
             detail,
-        };
-        let mut ring = self.inner.lock().unwrap();
-        if self.cap == 0 {
-            self.dropped.fetch_add(1, Relaxed);
-            return;
-        }
-        if ring.len() == self.cap {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Relaxed);
-        }
-        ring.push_back(event);
+        });
     }
+}
 
-    /// The last `n` events, oldest first.
-    pub fn last(&self, n: usize) -> Vec<TraceEvent> {
-        let ring = self.inner.lock().unwrap();
-        let skip = ring.len().saturating_sub(n);
-        ring.iter().skip(skip).cloned().collect()
-    }
+/// The read side (`last`, `len`, `total`, `dropped`) is the ring's own.
+impl Deref for TraceRing {
+    type Target = Ring<TraceEvent>;
 
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events pushed over the ring's lifetime.
-    pub fn total(&self) -> u64 {
-        self.total.load(Relaxed)
-    }
-
-    /// Events evicted (or refused at `cap == 0`).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Relaxed)
+    fn deref(&self) -> &Ring<TraceEvent> {
+        &self.0
     }
 }
 

@@ -23,19 +23,15 @@
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use ftr_core::EpochState;
 use ftr_graph::{BitMatrix, Node, NodeSet};
-
-/// Recovers a poisoned lock instead of panicking the acquiring thread.
-/// Sound here because everything guarded in this module is either a
-/// pure function of its epoch (cache entries — recomputing or reusing
-/// one is always correct) or an `Arc` slot only ever replaced whole, so
-/// a holder that panicked cannot have left a half-written value behind.
-fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
-    result.unwrap_or_else(PoisonError::into_inner)
-}
+// Poison recovery is sound for everything guarded here: cache entries
+// are pure functions of their epoch (recomputing or reusing one is
+// always correct) and the current-epoch slot is an `Arc` only ever
+// replaced whole.
+use ftr_obs::relock;
 
 /// Shards in the per-epoch query cache (a power of two; bounds writer
 /// contention between worker threads warming the same epoch).
@@ -146,24 +142,6 @@ impl FlatRoutes {
         let (x, y) = (x as usize, y as usize);
         (x < self.n && y < self.n).then(|| &self.slots[x * self.n + y])
     }
-
-    fn get_or_insert(
-        &self,
-        slot: &OnceLock<Arc<str>>,
-        compute: impl FnOnce() -> String,
-    ) -> (Arc<str>, bool) {
-        if let Some(v) = slot.get() {
-            return (v.clone(), true);
-        }
-        let mut computed = false;
-        let v = slot.get_or_init(|| {
-            computed = true;
-            Arc::from(compute())
-        });
-        // A racing thread may have initialized the slot first; either
-        // way the caller that ran `compute` reports a miss.
-        (v.clone(), !computed)
-    }
 }
 
 impl QueryCache {
@@ -180,14 +158,10 @@ impl QueryCache {
         }
     }
 
-    fn shard_index(key: &QueryKey) -> usize {
+    fn shard(&self, key: &QueryKey) -> &Mutex<HashMap<QueryKey, Arc<str>>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        (h.finish() as usize) % CACHE_SHARDS
-    }
-
-    fn shard(&self, key: &QueryKey) -> &Mutex<HashMap<QueryKey, Arc<str>>> {
-        &self.shards[Self::shard_index(key)]
+        &self.shards[(h.finish() as usize) % CACHE_SHARDS]
     }
 
     /// Looks `key` up, computing and memoizing it with `compute` on a
@@ -203,8 +177,20 @@ impl QueryCache {
     ) -> (Arc<str>, bool) {
         if let (QueryKey::Route(x, y), Some(flat)) = (key, self.routes.as_ref()) {
             if let Some(slot) = flat.slot(x, y) {
-                return flat.get_or_insert(slot, compute);
+                if let Some(v) = slot.get() {
+                    return (v.clone(), true);
+                }
+                let mut computed = false;
+                let v = slot.get_or_init(|| {
+                    computed = true;
+                    Arc::from(compute())
+                });
+                // A racing thread may have initialized the slot first;
+                // either way the caller that ran `compute` reports a miss.
+                return (v.clone(), !computed);
             }
+            // Out-of-range pairs are rejected by validation before they
+            // reach the cache; one that slips through uses the shards.
         }
         let shard = self.shard(&key);
         if let Some(v) = relock(shard.lock()).get(&key) {
@@ -214,89 +200,6 @@ impl QueryCache {
         let mut map = relock(shard.lock());
         let value = map.entry(key).or_insert_with(|| fresh).clone();
         (value, false)
-    }
-
-    /// Resolves a batch of validated ROUTE pairs in one pass, calling
-    /// `sink(index, reply, hit)` for each pair in order.
-    ///
-    /// On the flat path this is lock-free per pair. On the sharded path
-    /// the batch takes each touched shard lock at most twice (one probe
-    /// pass, one insert pass for the misses) instead of once per query;
-    /// `compute` runs outside any lock and the first insert wins.
-    pub fn route_many(
-        &self,
-        pairs: &[(Node, Node)],
-        mut compute: impl FnMut(Node, Node) -> String,
-        mut sink: impl FnMut(usize, Arc<str>, bool),
-    ) {
-        if let Some(flat) = &self.routes {
-            for (i, &(x, y)) in pairs.iter().enumerate() {
-                match flat.slot(x, y) {
-                    Some(slot) => {
-                        let (v, hit) = flat.get_or_insert(slot, || compute(x, y));
-                        sink(i, v, hit);
-                    }
-                    None => {
-                        // Out-of-range pairs are rejected by validation
-                        // before they reach the cache; fall back to the
-                        // shard maps for safety if one slips through.
-                        let (v, hit) =
-                            self.get_or_insert_with(QueryKey::Route(x, y), || compute(x, y));
-                        sink(i, v, hit);
-                    }
-                }
-            }
-            return;
-        }
-        let shard_of: Vec<u8> = pairs
-            .iter()
-            .map(|&(x, y)| Self::shard_index(&QueryKey::Route(x, y)) as u8)
-            .collect();
-        let mut touched = [false; CACHE_SHARDS];
-        for &s in &shard_of {
-            touched[s as usize] = true;
-        }
-        let mut resolved: Vec<Option<(Arc<str>, bool)>> = vec![None; pairs.len()];
-        for (s, _) in touched.iter().enumerate().filter(|(_, t)| **t) {
-            let map = relock(self.shards[s].lock());
-            for (i, &(x, y)) in pairs.iter().enumerate() {
-                if shard_of[i] as usize == s {
-                    if let Some(v) = map.get(&QueryKey::Route(x, y)) {
-                        resolved[i] = Some((v.clone(), true));
-                    }
-                }
-            }
-        }
-        let mut fresh: Vec<Option<Arc<str>>> = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| resolved[i].is_none().then(|| Arc::from(compute(x, y))))
-            .collect();
-        for (s, _) in touched.iter().enumerate().filter(|(_, t)| **t) {
-            let mut map = relock(self.shards[s].lock());
-            for (i, &(x, y)) in pairs.iter().enumerate() {
-                // `fresh[i]` is populated exactly for the pairs the
-                // probe pass left unresolved, so taking it doubles as
-                // the "still a miss" check.
-                if shard_of[i] as usize == s {
-                    if let Some(computed) = fresh[i].take() {
-                        let value = map
-                            .entry(QueryKey::Route(x, y))
-                            .or_insert_with(|| computed)
-                            .clone();
-                        resolved[i] = Some((value, false));
-                    }
-                }
-            }
-        }
-        for (i, entry) in resolved.into_iter().enumerate() {
-            // Both passes together resolve every index; if that ever
-            // breaks, answer the pair with an ERR instead of panicking
-            // the shard that asked.
-            let (v, hit) =
-                entry.unwrap_or_else(|| (Arc::from("ERR internal: unresolved batch pair"), false));
-            sink(i, v, hit);
-        }
     }
 
     /// Number of cached entries (for stats).

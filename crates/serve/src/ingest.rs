@@ -11,16 +11,13 @@
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Recovers a poisoned queue lock instead of panicking: `push` appends
-/// one element atomically and the drain takes whole prefixes, so a
-/// holder that panicked between those operations cannot have left the
-/// event vector half-written.
-fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
-    result.unwrap_or_else(PoisonError::into_inner)
-}
-
 use ftr_core::{CompiledRoutes, EpochState};
 use ftr_graph::Node;
+// Poison recovery is sound for the queue: `push` appends one element
+// atomically and the drain takes whole prefixes, so a holder that
+// panicked between those operations cannot have left the event vector
+// half-written.
+use ftr_obs::relock;
 
 use crate::epoch::EpochStore;
 use crate::metrics::ServeObs;

@@ -12,8 +12,10 @@
 //! into the shared atomics.
 //!
 //! With [`crate::ServerConfig::metrics`] off, shards skip all recording
-//! (including the `Instant::now` reads); the registry still exists, so
-//! `METRICS` stays answerable — its serve-side series just stay zero.
+//! (including the `Instant::now` reads; only the engine-window
+//! timestamps of cache misses remain, see [`crate::query::route_batch`]);
+//! the registry still exists, so `METRICS` stays answerable — its
+//! serve-side series just stay zero.
 
 use std::sync::Arc;
 

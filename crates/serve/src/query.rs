@@ -11,7 +11,7 @@ use ftr_audit::{SearchConfig, SearchMode, Verdict};
 use ftr_core::ToleranceClaim;
 use ftr_graph::{Node, NodeSet};
 
-use crate::epoch::Epoch;
+use crate::epoch::{Epoch, QueryKey};
 use crate::snapshot::RoutingSnapshot;
 
 /// Reply to a `ROUTE x y` query.
@@ -153,17 +153,19 @@ pub fn route(
     }
 }
 
-/// Answers a batch of **pre-validated** `ROUTE` pairs against one epoch
-/// in a single cache pass, calling `sink(index, rendered_reply, hit)`
-/// per pair in order.
+/// Answers a batch of **pre-validated** `ROUTE` pairs against one
+/// epoch, calling `sink(index, rendered_reply, hit)` per pair in order,
+/// and returns the window in which the engine computed misses.
 ///
-/// This is the server's pipeline-window fast path: the caller acquires
-/// the epoch once for the whole window, validation (and therefore every
-/// `ERR`) happens before the cache is touched, and the cache resolves
-/// the window with at most one lock acquisition per shard — lock-free
-/// outright on small graphs ([`crate::QueryCache::route_many`]). Misses
-/// are computed by [`route`] and rendered once; the `Arc<str>` handed to
-/// `sink` is the cached allocation, never a copy.
+/// This is the server's pipeline-window path: the caller acquires the
+/// epoch once for the whole window, and validation (and therefore every
+/// `ERR`) happens before the cache is touched. Each pair goes through
+/// [`crate::QueryCache::get_or_insert_with`] — lock-free on small
+/// graphs, one shard lock otherwise. Misses are computed by [`route`]
+/// and rendered once; the `Arc<str>` handed to `sink` is the cached
+/// allocation, never a copy. Misses stamp the window with one clock
+/// read each, plus one for the first (plain writes into a local — no
+/// locks, no atomics); an all-hit batch reads no clock.
 ///
 /// Pairs are expected to pass [`validate_route_query`] — the caller
 /// rejects invalid ones before building the batch. A pair that fails
@@ -173,22 +175,30 @@ pub fn route_batch(
     snapshot: &RoutingSnapshot,
     epoch: &Epoch,
     pairs: &[(Node, Node)],
-    sink: impl FnMut(usize, std::sync::Arc<str>, bool),
-) {
-    epoch.cache().route_many(
-        pairs,
-        |x, y| match route(snapshot, epoch, x, y) {
-            Ok(reply) => crate::proto::render_route(&reply),
-            Err(e) => format!("ERR {e}"),
-        },
-        sink,
-    );
+    mut sink: impl FnMut(usize, std::sync::Arc<str>, bool),
+) -> EngineWindow {
+    let mut window = EngineWindow::default();
+    for (i, &(x, y)) in pairs.iter().enumerate() {
+        let (reply, hit) = epoch.cache().get_or_insert_with(QueryKey::Route(x, y), || {
+            if window.start_nanos == 0 {
+                window.start_nanos = ftr_obs::monotonic_nanos();
+            }
+            let rendered = match route(snapshot, epoch, x, y) {
+                Ok(reply) => crate::proto::render_route(&reply),
+                Err(e) => format!("ERR {e}"),
+            };
+            window.end_nanos = ftr_obs::monotonic_nanos();
+            rendered
+        });
+        sink(i, reply, hit);
+    }
+    window
 }
 
 /// The window of wall time the engine (cache-miss compute) was active
-/// during one [`route_batch_observed`] call: first miss start to last
-/// miss end, in [`ftr_obs::monotonic_nanos`] nanos. Both zero when the
-/// whole batch was served from cache.
+/// during one [`route_batch`] call: first miss start to last miss end,
+/// in [`ftr_obs::monotonic_nanos`] nanos. Both zero when the whole
+/// batch was served from cache.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct EngineWindow {
     /// Start of the first cache-miss computation.
@@ -202,35 +212,6 @@ impl EngineWindow {
     pub fn active(&self) -> bool {
         self.end_nanos > 0
     }
-}
-
-/// [`route_batch`] plus flight-recorder observation: timestamps the
-/// engine's share of the cache pass into `window` (plain writes into a
-/// caller-owned struct — no locks, no atomics, hot-path safe). The
-/// caller turns the window into a synthesized `engine` child span under
-/// its `cache` span.
-pub fn route_batch_observed(
-    snapshot: &RoutingSnapshot,
-    epoch: &Epoch,
-    pairs: &[(Node, Node)],
-    window: &mut EngineWindow,
-    sink: impl FnMut(usize, std::sync::Arc<str>, bool),
-) {
-    epoch.cache().route_many(
-        pairs,
-        |x, y| {
-            if window.start_nanos == 0 {
-                window.start_nanos = ftr_obs::monotonic_nanos();
-            }
-            let rendered = match route(snapshot, epoch, x, y) {
-                Ok(reply) => crate::proto::render_route(&reply),
-                Err(e) => format!("ERR {e}"),
-            };
-            window.end_nanos = ftr_obs::monotonic_nanos();
-            rendered
-        },
-        sink,
-    );
 }
 
 /// BFS over the epoch's surviving route graph (faulty nodes masked out)

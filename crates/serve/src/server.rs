@@ -8,9 +8,10 @@
 //! thread multiplexes its connections with nonblocking sockets and the
 //! [`crate::poll::PollSet`] readiness shim, frame-decodes whole read
 //! buffers into request *batches*, executes each batch against a single
-//! epoch acquisition (one `Arc` clone and one cache pass per window —
-//! see [`query::route_batch`]), and writes one coalesced reply buffer
-//! back per batch. One extra scoped thread runs the [`Ingestor`];
+//! epoch acquisition (one `Arc` clone per window, its ROUTE pairs
+//! answered in order through the epoch cache — see
+//! [`query::route_batch`]), and writes one coalesced reply buffer back
+//! per batch. One extra scoped thread runs the [`Ingestor`];
 //! shared state is only the epoch store, atomic counters and the
 //! static-scheme memos.
 
@@ -18,11 +19,15 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ftr_core::{Planner, PlannerRequest, SchemeParams, SchemeRegistry};
 use ftr_graph::Node;
+// Poison recovery is sound for everything locked here: inboxes hold
+// whole `TcpStream`s, and the PLAN/AUDIT memos cache deterministic
+// replies, so a holder that panicked cannot leave a half-written value.
+use ftr_obs::relock;
 
 use crate::epoch::{Epoch, EpochReader, EpochStore, QueryKey};
 use crate::ingest::{EventQueue, FaultEvent, Ingestor};
@@ -61,8 +66,10 @@ pub struct ServerConfig {
     /// above it are ruled out instead of built).
     pub plan_route_budget: usize,
     /// Whether the shards record metrics and trace events. Off, the
-    /// hot path skips all recording (including clock reads); `METRICS`
-    /// still answers, with the serve-side series frozen at zero.
+    /// hot path skips all recording; its only clock reads are the
+    /// engine-window stamps of cache misses (see [`query::route_batch`]).
+    /// `METRICS` still answers, with the serve-side series frozen at
+    /// zero.
     pub metrics: bool,
     /// Whether the shards record flight-recorder span trees (`SPANS` /
     /// `SLOW`). Forced off when `metrics` is off.
@@ -87,14 +94,6 @@ impl Default for ServerConfig {
             slo: SloConfig::default(),
         }
     }
-}
-
-/// Recovers a poisoned lock instead of panicking the acquiring thread.
-/// Everything locked in this module tolerates it: inboxes hold whole
-/// `TcpStream`s, and the PLAN/AUDIT memos cache deterministic replies —
-/// a holder that panicked cannot have left a half-written value.
-fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
-    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Monotonic counters shared by the shards, readable over `STATS` and
@@ -757,33 +756,21 @@ impl Shard<'_> {
         if !pairs.is_empty() {
             let mut hits = 0u64;
             let start = record.then(Instant::now);
-            if spans_on {
-                // The cache span covers the whole batched lookup; misses
-                // that fall through to the engine report their first/last
-                // compute window, recorded as a child "engine" span.
-                let cache_span = local.recorder.start("cache");
-                let mut window = query::EngineWindow::default();
-                query::route_batch_observed(
-                    ctx.snapshot,
-                    &epoch,
-                    pairs,
-                    &mut window,
-                    |j, value, hit| {
-                        hits += u64::from(hit);
-                        replies[jobs[j].0 as usize] = Reply::Shared(value);
-                    },
-                );
+            // The cache span covers the whole batched lookup; misses that
+            // fall through to the engine report their first/last compute
+            // window, recorded as a child "engine" span.
+            let cache_span = spans_on.then(|| local.recorder.start("cache"));
+            let window = query::route_batch(ctx.snapshot, &epoch, pairs, |j, value, hit| {
+                hits += u64::from(hit);
+                replies[jobs[j].0 as usize] = Reply::Shared(value);
+            });
+            if let Some(span) = cache_span {
                 if window.active() {
                     local
                         .recorder
                         .record_window("engine", window.start_nanos, window.end_nanos);
                 }
-                local.recorder.end(cache_span);
-            } else {
-                query::route_batch(ctx.snapshot, &epoch, pairs, |j, value, hit| {
-                    hits += u64::from(hit);
-                    replies[jobs[j].0 as usize] = Reply::Shared(value);
-                });
+                local.recorder.end(span);
             }
             if let Some(start) = start {
                 // Batch-attributed ROUTE latency, mirroring the load

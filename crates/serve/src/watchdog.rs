@@ -26,10 +26,12 @@
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::Duration;
 
-use ftr_obs::{AlertTransition, SloAlert};
+// The watchdog only reads inbox lengths, so a poisoned inbox is safe
+// to recover.
+use ftr_obs::{relock, AlertTransition, SloAlert};
 
 use crate::ingest::EventQueue;
 use crate::metrics::ServeObs;
@@ -74,10 +76,6 @@ const STALL_BURN: f64 = 2.0;
 /// The tail fraction an SLO quantile target leaves as budget (both
 /// latency SLOs are p99 targets).
 const TAIL_BUDGET: f64 = 0.01;
-
-fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
-    result.unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The sampler thread's borrowed context (everything lives in the
 /// server's scope).
