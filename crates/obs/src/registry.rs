@@ -5,6 +5,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use crate::metrics::{AtomicHistogram, Counter, Gauge};
+use crate::relock;
 
 /// Rendering unit for histogram-backed summaries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,8 +72,10 @@ impl Registry {
                 .collect(),
             value,
         };
-        let mut families = self.families.lock().unwrap();
+        let mut families = relock(self.families.lock());
         if let Some(family) = families.iter_mut().find(|f| f.name == name) {
+            // The check runs before any mutation, so the panic leaves the
+            // families intact and `relock` lets later callers use them.
             assert_eq!(
                 family.kind, kind,
                 "metric {name} registered with conflicting kinds"
@@ -148,7 +151,7 @@ impl Registry {
     /// quantile, `_count` and `_sum` sub-series).
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let families = self.families.lock().unwrap();
+        let families = relock(self.families.lock());
         for family in families.iter() {
             let _ = writeln!(out, "# HELP {} {}", family.name, family.help);
             let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind);
@@ -195,7 +198,7 @@ impl Registry {
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
         let mut first = true;
-        let families = self.families.lock().unwrap();
+        let families = relock(self.families.lock());
         for family in families.iter() {
             for series in &family.series {
                 if !first {
@@ -327,5 +330,22 @@ mod tests {
         let reg = Registry::new();
         let _ = reg.counter("ftr_thing", "x", &[]);
         let _ = reg.gauge("ftr_thing", "x", &[]);
+    }
+
+    #[test]
+    fn renderers_answer_after_a_conflicting_registration_panics() {
+        let reg = Registry::new();
+        let c = reg.counter("ftr_thing", "x", &[]);
+        c.add(7);
+        // The conflict panics while the family lock is held, poisoning it.
+        let conflict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = reg.gauge("ftr_thing", "x", &[]);
+        }));
+        assert!(conflict.is_err(), "a kind conflict must still panic");
+        assert!(reg.render_prometheus().contains("ftr_thing 7"));
+        assert_eq!(reg.render_json(), "{\"ftr_thing\":7}");
+        // Registration keeps working too.
+        let _ = reg.gauge("ftr_other", "y", &[]);
+        assert!(reg.render_prometheus().contains("ftr_other 0"));
     }
 }

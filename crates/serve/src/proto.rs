@@ -254,12 +254,32 @@ fn parse_num<T: std::str::FromStr>(token: &str, what: &str) -> Result<T, String>
 }
 
 /// Renders a [`RouteReply`] as its `OK …` line (without newline).
+///
+/// A detour carries ~100 ids at n = 256, so the line is written in one
+/// pass into one `String` sized up front: no allocation per id.
 pub fn render_route(reply: &RouteReply) -> String {
-    match reply {
-        RouteReply::Direct(nodes) => format!("OK DIRECT {}", join(nodes)),
-        RouteReply::Detour(nodes) => format!("OK DETOUR {}", join(nodes)),
-        RouteReply::Unreachable => "OK UNREACHABLE".to_string(),
+    let (head, nodes) = match reply {
+        RouteReply::Direct(nodes) => ("OK DIRECT ", nodes),
+        RouteReply::Detour(nodes) => ("OK DETOUR ", nodes),
+        RouteReply::Unreachable => return "OK UNREACHABLE".to_string(),
+    };
+    // Every id fits the width of the largest one plus its separator.
+    let widest = nodes.iter().copied().max().map_or(0, digits);
+    let mut out = String::with_capacity(head.len() + nodes.len() * (widest + 1));
+    out.push_str(head);
+    push_ids(&mut out, nodes.iter().copied(), ' ');
+    out
+}
+
+/// Renders a node list as `v,v,…`, or `-` when it is empty: the
+/// `EPOCH` fault set and the `TOLERATE` / `AUDIT` witnesses.
+pub fn render_node_list(nodes: impl IntoIterator<Item = Node>) -> String {
+    let mut out = String::new();
+    push_ids(&mut out, nodes, ',');
+    if out.is_empty() {
+        out.push('-');
     }
+    out
 }
 
 /// Renders a diameter measurement (`None` = disconnected).
@@ -270,14 +290,40 @@ pub fn render_diameter(d: Option<u32>) -> String {
     }
 }
 
-fn join(nodes: &[Node]) -> String {
-    let rendered: Vec<String> = nodes.iter().map(|v| v.to_string()).collect();
-    rendered.join(" ")
+/// Appends `nodes` in decimal, `sep` between consecutive ids.
+fn push_ids(out: &mut String, nodes: impl IntoIterator<Item = Node>, sep: char) {
+    for (i, v) in nodes.into_iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        push_id(out, v);
+    }
+}
+
+/// Appends one id in decimal, its digits built in a stack buffer.
+fn push_id(out: &mut String, mut v: Node) {
+    let mut buf = [0u8; 10]; // `Node::MAX` has ten digits
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
+}
+
+/// Decimal digit count of `v`.
+fn digits(v: Node) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftr_graph::NodeSet;
 
     #[test]
     fn parses_every_verb() {
@@ -379,5 +425,98 @@ mod tests {
         assert_eq!(render_route(&RouteReply::Unreachable), "OK UNREACHABLE");
         assert_eq!(render_diameter(Some(3)), "OK DIAM 3");
         assert_eq!(render_diameter(None), "OK DIAM disconnected");
+    }
+
+    /// The reference renderer: one `String` per id, joined. Shares no
+    /// code with the renderers under test.
+    fn reference(nodes: &[Node], sep: &str) -> String {
+        nodes
+            .iter()
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join(sep)
+    }
+
+    /// Ids at every digit-count boundary, plus the extremes of `Node`.
+    const BOUNDARY: [Node; 9] = [0, 9, 10, 99, 100, 999, 1000, 65535, Node::MAX];
+
+    #[test]
+    fn node_lists_render_byte_identically_at_digit_boundaries() {
+        for &v in &BOUNDARY {
+            assert_eq!(
+                render_route(&RouteReply::Direct(vec![v])),
+                format!("OK DIRECT {v}")
+            );
+        }
+        let all = BOUNDARY.to_vec();
+        assert_eq!(
+            render_route(&RouteReply::Direct(all.clone())),
+            format!("OK DIRECT {}", reference(&all, " "))
+        );
+        assert_eq!(
+            render_route(&RouteReply::Detour(all.clone())),
+            "OK DETOUR 0 9 10 99 100 999 1000 65535 4294967295"
+        );
+        // Witnesses are plain id lists, so they reach `Node::MAX`.
+        assert_eq!(
+            render_node_list(all.iter().copied()),
+            "0,9,10,99,100,999,1000,65535,4294967295"
+        );
+        assert_eq!(render_node_list([Node::MAX]), "4294967295");
+        assert_eq!(render_node_list([]), "-");
+        // The fault set is a `NodeSet`, so its ids stop short of
+        // `Node::MAX`; it renders ascending, comma-separated.
+        let faults = NodeSet::from_nodes(65536, BOUNDARY[..8].iter().copied());
+        assert_eq!(
+            crate::query::render_faults(&faults),
+            "0,9,10,99,100,999,1000,65535"
+        );
+        assert_eq!(crate::query::render_faults(&NodeSet::new(4)), "-");
+    }
+
+    #[test]
+    fn node_lists_match_the_reference_on_random_lists() {
+        // splitmix64: a seeded, dependency-free stream.
+        let mut state: u64 = 0x5eed_f7a1_2024_0013;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for round in 0..2000 {
+            let len = (next() % 130) as usize;
+            // Mix small ids (the common case) with full-width ones.
+            let cap = [10, 1000, 100_000, u64::from(Node::MAX) + 1][round % 4];
+            let nodes: Vec<Node> = (0..len).map(|_| (next() % cap) as Node).collect();
+            let spaced = reference(&nodes, " ");
+            assert_eq!(
+                render_route(&RouteReply::Direct(nodes.clone())),
+                format!("OK DIRECT {spaced}")
+            );
+            assert_eq!(
+                render_route(&RouteReply::Detour(nodes.clone())),
+                format!("OK DETOUR {spaced}")
+            );
+            let witness = if nodes.is_empty() {
+                "-".to_string()
+            } else {
+                reference(&nodes, ",")
+            };
+            assert_eq!(render_node_list(nodes.iter().copied()), witness);
+            // Fault sets: distinct ids below the set's universe.
+            let universe = 70_000;
+            let mut ids: Vec<Node> = nodes.iter().map(|&v| v % universe).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let want = if ids.is_empty() {
+                "-".to_string()
+            } else {
+                reference(&ids, ",")
+            };
+            let set = NodeSet::from_nodes(universe as usize, ids.iter().copied());
+            assert_eq!(crate::query::render_faults(&set), want);
+        }
     }
 }

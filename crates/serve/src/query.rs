@@ -143,9 +143,8 @@ pub fn route(
             let mut nodes: Vec<Node> = Vec::new();
             for hop in relays.windows(2) {
                 let view = snapshot.routing().route(hop[0], hop[1]).ok_or(NO_PATH)?;
-                let path = view.nodes();
                 let skip = usize::from(!nodes.is_empty());
-                nodes.extend(path.into_iter().skip(skip));
+                nodes.extend(view.iter().skip(skip));
             }
             Ok(RouteReply::Detour(nodes))
         }
@@ -448,11 +447,7 @@ fn sets_to_visit(n: u64, k: u64) -> u64 {
 
 /// The current fault set rendered for diagnostics (`-` when empty).
 pub fn render_faults(faults: &NodeSet) -> String {
-    if faults.is_empty() {
-        return "-".to_string();
-    }
-    let ids: Vec<String> = faults.iter().map(|v| v.to_string()).collect();
-    ids.join(",")
+    crate::proto::render_node_list(faults.iter())
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ use crate::metrics::{
     LAT_VERBS, VERBS,
 };
 use crate::poll::PollSet;
-use crate::proto::{parse_request, render_diameter, Request};
+use crate::proto::{parse_request, render_diameter, render_node_list, Request};
 use crate::query::{self, QueryError};
 use crate::snapshot::RoutingSnapshot;
 use crate::watchdog::{SloConfig, Watchdog};
@@ -1084,7 +1084,7 @@ fn render_tolerate(a: &query::ToleranceAnswer) -> String {
         format!(
             "OK TOLERATE no found={} witness={} sets={}",
             render_found(a.found),
-            render_witness(&a.witness),
+            render_node_list(a.witness.iter().copied()),
             a.sets
         )
     }
@@ -1104,7 +1104,7 @@ fn render_audit(a: &query::AuditAnswer) -> String {
         format!(
             "OK AUDIT violated found={} witness={} visited={}",
             render_found(a.found),
-            render_witness(&a.witness),
+            render_node_list(a.witness.iter().copied()),
             a.visited
         )
     }
@@ -1116,14 +1116,6 @@ fn render_found(found: Option<Option<u32>>) -> String {
         Some(None) => "disconnect".to_string(),
         None => "-".to_string(),
     }
-}
-
-fn render_witness(witness: &[ftr_graph::Node]) -> String {
-    if witness.is_empty() {
-        return "-".to_string();
-    }
-    let parts: Vec<String> = witness.iter().map(|v| v.to_string()).collect();
-    parts.join(",")
 }
 
 #[cfg(test)]
